@@ -14,16 +14,20 @@ the serial epoch by at least 1.6x; four workers are measured and reported
 alongside (not gated — runners expose 2 reliable cores, beyond that the
 scaling is informational).
 
-The gate's name contains ``epoch_speedup`` so the CI benchmark smoke lane
-(which filters ``-k "not epoch_speedup"``) skips the timing-sensitive gate
-on shared runners; it also self-skips on hosts with fewer than two usable
-cores, where forked workers only time-slice one CPU and no speedup is
-physically available.  ``test_parallel_smoke`` below is the light exercise
-the dedicated CI parallel lane does run: a short two-worker training run
-that must stay within summation-order tolerance of its serial twin.
+Each worker runs its share of the BLAS threads (``WorkerPool`` sets it at
+fork, see ``docs/parallel.md``); the record carries both the parent's and
+the workers' thread counts so a snapshot says how it was threaded.
+
+The gate's name contains ``epoch_speedup``: the CI parallel lane runs the
+smoke test first with ``-k "not epoch_speedup"``, then runs
+``test_parallel_epoch_speedup`` on its own as the lane's last step.  The gate
+also self-skips on hosts with fewer than two usable cores, where forked
+workers only time-slice one CPU and no speedup is physically available.
+``test_parallel_smoke`` below is the light exercise: a short two-worker
+training run that must stay within summation-order tolerance of its
+serial twin.
 """
 
-import os
 import time
 
 import numpy as np
@@ -36,13 +40,7 @@ from repro.models import build_model
 from repro.optim import SGD
 from repro.parallel import DataParallelTrainer, resolve_workers
 from repro.runtime import compute_dtype
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
+from repro.runtime.blas import blas_threads, usable_cores, worker_blas_threads
 
 
 def _make(train_per_class=20, batch_size=32):
@@ -74,10 +72,10 @@ def test_parallel_epoch_speedup():
 
     Skipped on hosts with fewer than two usable cores: forked workers
     then time-slice a single CPU and the parallel epoch can only tie or
-    lose — there is nothing to gate.  CI runs this on multi-core runners
-    via the dedicated parallel lane (without the smoke filter).
+    lose — there is nothing to gate.  CI runs this in its own step of the
+    parallel lane.
     """
-    cores = _usable_cores()
+    cores = usable_cores()
     if cores < 2:
         pytest.skip(
             f"host exposes {cores} usable core(s); the speedup gate needs"
@@ -102,9 +100,13 @@ def test_parallel_epoch_speedup():
     speedup2 = t_serial / results[2]
     speedup4 = t_serial / results[4]
     dtype = np.dtype(compute_dtype()).name
+    threads = blas_threads()
+    worker_threads = worker_blas_threads(2)
     lines = [
         f"data-parallel training: epochwise-adv CNN epoch, {dtype}, "
         f"{cores} usable cores",
+        f"BLAS threads      : {threads} serial, {worker_threads} per "
+        "worker at 2 workers",
         f"serial            : {t_serial * 1000:8.1f} ms/epoch (median)",
         f"2 workers         : {results[2] * 1000:8.1f} ms/epoch (median)"
         f"  -> {speedup2:.2f}x  (gate >= 1.6x)",
@@ -121,7 +123,9 @@ def test_parallel_epoch_speedup():
             "serial_ms": (t_serial * 1000.0, "ms", None),
         },
         context={"workload": "epochwise-adv CNN epoch",
-                 "dtype": dtype, "cores": cores},
+                 "dtype": dtype, "cores": cores,
+                 "blas_threads": threads,
+                 "worker_blas_threads": worker_threads},
     )
     print(f"\n{text}\nsaved: {path}")
     assert np.isfinite(speedup2)

@@ -17,6 +17,16 @@ registered by :mod:`repro.runtime.workspace` and :mod:`repro.telemetry`
 give it a fresh buffer pool and clean telemetry locks) and the caller
 re-dispatches the lost work.  Restarts are counted on the pool and, when
 telemetry is enabled, in the ``parallel.worker_restarts`` counter.
+
+BLAS threads
+------------
+Every child — first start or restart — sets its OpenBLAS thread count to
+its share of the host, ``max(1, min(inherited, usable_cores //
+num_workers))`` (:func:`repro.runtime.blas.worker_blas_threads`; a single
+worker keeps the inherited count), before its message loop starts, so forked workers do not oversubscribe the cores
+with the thread pools they inherit.  The parent's count is never touched.
+The budget is kept on :attr:`WorkerPool.worker_blas_threads` and, when
+telemetry is enabled, in the ``parallel.worker_blas_threads`` gauge.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import traceback
 from typing import Any, Callable, List, Optional
 
 from .. import telemetry as tel
+from ..runtime.blas import blas_threads, set_blas_threads, worker_blas_threads
 from ..telemetry import trace as teltrace
 
 __all__ = ["WorkerCrash", "WorkerError", "WorkerPool", "resolve_workers"]
@@ -73,8 +84,17 @@ class WorkerError(RuntimeError):
         )
 
 
-def _worker_main(handler: Callable[[int, Any], Any], worker_id: int, conn):
+def _worker_main(
+    handler: Callable[[int, Any], Any],
+    worker_id: int,
+    conn,
+    blas_budget: Optional[int],
+):
     """Child-process message loop: recv → handle → reply, until stopped."""
+    # A budget equal to the inherited count (always so for one worker)
+    # leaves the library untouched, keeping GEMM results bitwise serial.
+    if blas_budget is not None and blas_budget != blas_threads():
+        set_blas_threads(blas_budget)
     # Fork hooks already gave this process an empty workspace pool, a clean
     # span stack and fresh telemetry locks; the loop below only has to
     # serve messages.
@@ -145,6 +165,7 @@ class WorkerPool:
         self.handler = handler
         self.name = name
         self.restarts = 0
+        self.worker_blas_threads: Optional[int] = None
         self._workers: List[Optional[_Worker]] = [None] * self.num_workers
         self._started = False
 
@@ -152,10 +173,14 @@ class WorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> _Worker:
+        self.worker_blas_threads = worker_blas_threads(self.num_workers)
+        if self.worker_blas_threads is not None:
+            tel.gauge("parallel.worker_blas_threads", self.worker_blas_threads)
         parent_conn, child_conn = _FORK.Pipe()
         process = _FORK.Process(
             target=_worker_main,
-            args=(self.handler, worker_id, child_conn),
+            args=(self.handler, worker_id, child_conn,
+                  self.worker_blas_threads),
             name=f"{self.name}-{worker_id}",
             daemon=True,
         )

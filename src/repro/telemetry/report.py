@@ -198,8 +198,10 @@ class RunReport:
 
         Worker restarts, serving shed/timeout counts and the shard-cache
         hit rate each indicate capacity or stability pressure that the
-        timing tables hide; returns ``""`` when the run recorded none of
-        them (serial, un-served, non-streaming runs stay clean).
+        timing tables hide; the forked workers' BLAS thread budget says
+        how the parallel run was threaded.  Returns ``""`` when the run
+        recorded none of them (serial, un-served, non-streaming runs stay
+        clean).
         """
         counters = self.metrics.get("counters", {})
         gauges = self.metrics.get("gauges", {})
@@ -207,6 +209,11 @@ class RunReport:
         restarts = counters.get("parallel.worker_restarts", 0.0)
         if restarts:
             lines.append(f"  worker restarts: {restarts:g}")
+        blas_budget = gauges.get("parallel.worker_blas_threads")
+        if blas_budget is not None:
+            lines.append(
+                f"  worker BLAS threads: {blas_budget:g} per worker"
+            )
         shed = sum(
             value for name, value in counters.items()
             if name.startswith("serving.") and name.endswith(".shed")

@@ -130,6 +130,12 @@ class TestHealthBlock:
         assert "health:" in text
         assert "worker restarts: 2" in text
 
+    def test_worker_blas_budget_surfaces(self):
+        report = build_report([self.metrics_record(
+            gauges={"parallel.worker_blas_threads": 1.0}
+        )])
+        assert "worker BLAS threads: 1 per worker" in report.render_health()
+
     def test_serving_pressure_line_aggregates_batchers(self):
         report = build_report([self.metrics_record(counters={
             "serving.requests": 10.0,
