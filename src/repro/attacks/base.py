@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..autograd import Tensor
 from ..nn import Module, cross_entropy
 from ..runtime import ensure_float_array
 from ..utils.validation import check_image_batch
@@ -95,6 +94,9 @@ class Attack:
         self.clip_min = clip_min
         self.clip_max = clip_max
         self.targeted = targeted
+        from .loop import BackpropGradient  # loop imports this module
+
+        self._gradient = BackpropGradient(model, loss_fn)
 
     # ------------------------------------------------------------------
     def input_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -102,20 +104,14 @@ class Attack:
 
         The model is evaluated in its current training mode; callers should
         normally put the model in eval mode first (attacks against dropout
-        noise are not what the paper studies).
+        noise are not what the paper studies).  Computed by the attack
+        engine's :class:`~repro.attacks.loop.BackpropGradient`, so the
+        eval-mode rule (no parameter gradients) and the compiled toggle
+        apply here too.
         """
-        # No dtype cast: perturbation math runs in the input's own floating
-        # dtype (the policy decides it upstream, when the batch is created).
-        x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
-        logits = self.model(x_tensor)
-        loss = self.loss_fn(logits, y)
-        loss.backward()
-        grad = x_tensor.grad
-        if grad is None:
-            raise RuntimeError(
-                "input received no gradient; is the model differentiable?"
-            )
-        return grad
+        from .loop import LoopState
+
+        return self._gradient(x, y, LoopState())
 
     def loss_direction(self) -> float:
         """+1 for untargeted ascent, -1 for targeted descent."""

@@ -192,8 +192,21 @@ class GradientEstimator:
         raise NotImplementedError
 
 
+def _input_only(model) -> bool:
+    """Whether an attack backward against ``model`` may skip parameter
+    gradients: only in eval mode (see :class:`BackpropGradient`)."""
+    return getattr(model, "training", True) is False
+
+
 class BackpropGradient(GradientEstimator):
     """White-box gradient through the autograd engine (one fwd + bwd).
+
+    Against a model in eval mode (``model.training`` is False) the
+    backward runs with ``inputs=(x,)``: only the input gradient is
+    formed, and no parameter's ``.grad`` is touched.  In train mode, or
+    for a model without a ``training`` attribute, the backward also
+    accumulates parameter gradients, as a plain ``loss.backward()`` does;
+    the trainers' updates include them (see docs/attacks.md).
 
     When the runtime ``compiled`` toggle is on, the forward/backward pair
     runs through a :class:`~repro.autograd.tape.CompiledStep` keyed on the
@@ -204,10 +217,15 @@ class BackpropGradient(GradientEstimator):
     def __init__(self, model, loss_fn: Callable = cross_entropy) -> None:
         self.model = model
         self.loss_fn = loss_fn
-        self._compiled = None
+        self._compiled = {}
 
-    def _compiled_step(self):
-        if self._compiled is None:
+    def _compiled_step(self, input_only: Optional[bool] = None):
+        """The tape for eval-mode (input-only) or train-mode backwards;
+        by default the one the model's current mode uses."""
+        if input_only is None:
+            input_only = _input_only(self.model)
+        step = self._compiled.get(input_only)
+        if step is None:
             from ..autograd.tape import CompiledStep
 
             model, loss_fn = self.model, self.loss_fn
@@ -216,36 +234,36 @@ class BackpropGradient(GradientEstimator):
                 logits = model(x)
                 return loss_fn(logits, y), logits
 
-            # consume="all" (the default) keeps the parameter-gradient
-            # accumulation the eager backward performs as a side effect;
-            # trainers that run attacks mid-batch rely on it bit-for-bit.
-            self._compiled = CompiledStep(
+            # consume="all" keeps the parameter-gradient accumulation the
+            # eager train-mode backward performs as a side effect; trainers
+            # that run attacks mid-batch rely on it bit-for-bit.
+            step = self._compiled[input_only] = CompiledStep(
                 objective,
                 grad_inputs=(0,),
+                consume=("inputs",) if input_only else "all",
                 name="attack.backprop",
             )
-        return self._compiled
+        return step
 
     def __call__(self, x, y, state: LoopState) -> np.ndarray:
+        input_only = _input_only(self.model)
         if compiled_enabled():
-            result = self._compiled_step()(ensure_float_array(x), y)
+            result = self._compiled_step(input_only)(ensure_float_array(x), y)
             grad = result.input_grads[0]
-            if grad is None:
-                raise RuntimeError(
-                    "input received no gradient; is the model differentiable?"
-                )
-            state.logits = np.asarray(result.outputs[1])
-            return grad
-        x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
-        logits = self.model(x_tensor)
-        loss = self.loss_fn(logits, y)
-        loss.backward()
-        grad = x_tensor.grad
+            logits = np.asarray(result.outputs[1])
+        else:
+            x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
+            logits = self.model(x_tensor)
+            self.loss_fn(logits, y).backward(
+                inputs=(x_tensor,) if input_only else None
+            )
+            grad = x_tensor.grad
+            logits = logits.data
         if grad is None:
             raise RuntimeError(
                 "input received no gradient; is the model differentiable?"
             )
-        state.logits = logits.data
+        state.logits = logits
         return grad
 
 
@@ -307,10 +325,13 @@ class ClassGradients:
         num_classes = logits.shape[1]
         logits_data = logits.data
         grads = []
+        input_only = _input_only(self.model)
         for cls in range(num_classes):
             x_t = Tensor(x, requires_grad=True)
             out = self.model(x_t)
-            out[np.arange(len(x)), np.full(len(x), cls)].sum().backward()
+            out[np.arange(len(x)), np.full(len(x), cls)].sum().backward(
+                inputs=(x_t,) if input_only else None
+            )
             grads.append(x_t.grad)
         state.logits = logits_data
         return logits_data, np.stack(grads, axis=1)

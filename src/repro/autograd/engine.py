@@ -292,7 +292,11 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
-    def backward(self, grad: Optional[ArrayLike] = None) -> None:
+    def backward(
+        self,
+        grad: Optional[ArrayLike] = None,
+        inputs: Optional[Sequence["Tensor"]] = None,
+    ) -> None:
         """Backpropagate through the graph rooted at this tensor.
 
         Parameters
@@ -301,6 +305,13 @@ class Tensor:
             Gradient of some scalar objective with respect to this tensor.
             Defaults to ``1`` which is only valid for scalar tensors (the
             common "loss.backward()" case).
+        inputs:
+            Leaf tensors to accumulate gradients into, as torch's
+            ``inputs=``.  When given, only these leaves get ``.grad``, and
+            every node whose inputs cannot reach one of them skips those
+            gradients (``ctx.needs_input_grad`` is narrowed for the call),
+            so e.g. an attack's input gradient costs no weight-gradient
+            GEMMs.  ``None`` (the default) accumulates into every leaf.
         """
         if not self.requires_grad:
             raise RuntimeError(
@@ -321,6 +332,7 @@ class Tensor:
                 )
 
         order = _topological_order(self)
+        live = None if inputs is None else _reaching(order, inputs)
         grads: dict[int, np.ndarray] = {id(self): grad}
         # Ids of accumulation buffers this traversal allocated itself.  Only
         # those may be mutated in place or recycled through the workspace:
@@ -365,7 +377,20 @@ class Tensor:
             tracer = _tracer_state.active
             if tracer is not None:
                 tracer.record_backward(ctx)
-            input_grads = ctx.backward(ctx, node_grad)
+            if live is None:
+                input_grads = ctx.backward(ctx, node_grad)
+            else:
+                # Narrow the mask for this call only: the graph keeps its
+                # full mask for any later backward without ``inputs``.
+                full_mask = ctx.needs_input_grad
+                ctx.needs_input_grad = tuple(
+                    needs and id(inp) in live
+                    for inp, needs in zip(ctx.inputs, full_mask)
+                )
+                try:
+                    input_grads = ctx.backward(ctx, node_grad)
+                finally:
+                    ctx.needs_input_grad = full_mask
             if not isinstance(input_grads, tuple):
                 input_grads = (input_grads,)
             if len(input_grads) != len(ctx.inputs):
@@ -379,6 +404,8 @@ class Tensor:
                 if g is None or not isinstance(inp, Tensor):
                     continue
                 if not inp.requires_grad:
+                    continue
+                if live is not None and id(inp) not in live:
                     continue
                 g = np.asarray(g)
                 if g.shape != inp.data.shape:
@@ -448,6 +475,26 @@ def _topological_order(root: Tensor) -> list:
                     stack.append((inp, False))
     order.reverse()
     return order
+
+
+def _reaching(order: list, inputs: Sequence[Tensor]) -> set:
+    """Ids of the nodes in ``order`` from which some of ``inputs`` is
+    reachable (the inputs included): the only nodes a backward restricted
+    to ``inputs`` must send gradients to."""
+    live: set[int] = set()
+    for inp in inputs:
+        if not isinstance(inp, Tensor) or not inp.requires_grad:
+            raise ValueError("backward inputs must be tensors requiring grad")
+        if inp._ctx is not None:
+            raise ValueError("backward inputs must be leaf tensors")
+        live.add(id(inp))
+    # ``order`` is reverse-topological: walking it backwards visits every
+    # node's inputs before the node itself.
+    for node in reversed(order):
+        ctx = node._ctx
+        if ctx is not None and any(id(inp) in live for inp in ctx.inputs):
+            live.add(id(node))
+    return live
 
 
 def as_tensor(value: ArrayLike, dtype=None) -> Tensor:

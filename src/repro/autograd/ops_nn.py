@@ -77,9 +77,9 @@ class ReLU(Function):
     """Rectified linear unit."""
     @staticmethod
     def forward(ctx, a):
-        mask = a > 0
-        ctx.save_for_backward(mask)
-        return a * mask
+        if is_grad_enabled():
+            ctx.save_for_backward(a > 0)
+        return np.maximum(a, 0)
 
     @staticmethod
     def backward(ctx, grad_output):
@@ -167,7 +167,12 @@ class Conv2d(Function):
                 np.add(out, bias, out=out)  # GEMM result is fresh: add in place
             else:
                 out = out + bias
-        out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+        # One contiguous NCHW copy here instead of an NHWC-strided view:
+        # every later elementwise kernel (ReLU, pooling, their backwards)
+        # then runs over contiguous memory.
+        out = np.ascontiguousarray(
+            out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+        )
         if is_grad_enabled():
             # The column matrix is reused for grad_weight; the backward
             # pass releases it once the gradients are formed.
@@ -276,7 +281,7 @@ def _pool_tiles(shape, kernel_size, stride, padding):
 
 
 class MaxPool2d(Function):
-    """Max pooling over square windows (argmax gradient routing)."""
+    """Max pooling over square windows (first-max gradient routing)."""
     @staticmethod
     def forward(ctx, x, kernel_size=2, stride=None, padding=0):
         stride = stride or kernel_size
@@ -285,38 +290,52 @@ class MaxPool2d(Function):
         out_w = conv_output_size(w, kernel_size, stride, padding)
         k2 = kernel_size * kernel_size
         workspace = get_workspace()
+        grad = is_grad_enabled()
         if hotpaths_enabled() and _pool_tiles(x.shape, kernel_size, stride, padding):
             # Windows tile the image: expose them as an NCHW reshape view and
             # keep every later array in NCHW, avoiding the two NHWC transpose
             # copies the column route pays.
             view = x.reshape(n, c, out_h, kernel_size, out_w, kernel_size)
             if kernel_size == 2:
-                # 2x2 windows: hand-rolled max/argmax over the four strided
-                # slot views beats np.argmax's generic reduction (and skips
-                # the take_along_axis gather).  Strict `>` comparisons keep
-                # np.argmax's first-max tie-breaking.
+                # 2x2 windows: hand-rolled max over the four strided slot
+                # views beats np.max's generic reduction.  The gradient is
+                # routed by a bool mask of the input's shape with one True
+                # per window; strict `>` comparisons keep np.argmax's
+                # first-max tie-breaking.
                 s0, s1 = view[:, :, :, 0, :, 0], view[:, :, :, 0, :, 1]
                 s2, s3 = view[:, :, :, 1, :, 0], view[:, :, :, 1, :, 1]
                 m01 = np.maximum(s0, s1)
                 m23 = np.maximum(s2, s3)
-                a01 = (s1 > s0).astype(np.int64)
-                a23 = (s3 > s2).astype(np.int64)
-                a23 += 2
                 high = m23 > m01
                 out = np.where(high, m23, m01)
-                argmax = np.where(high, a23, a01)
-            else:
-                windows = view.transpose(0, 1, 2, 4, 3, 5)
-                tiles = workspace.acquire((n, c, out_h, out_w, k2), x.dtype)
-                tiles.reshape(
-                    n, c, out_h, out_w, kernel_size, kernel_size
-                )[...] = windows
-                argmax = tiles.argmax(axis=4)
-                out = np.take_along_axis(tiles, argmax[..., None], axis=4)[..., 0]
-                workspace.release(tiles)
-            ctx.save_for_backward(
-                argmax, x.shape, kernel_size, stride, padding, None
-            )
+                if grad:
+                    mask = np.empty(x.shape, dtype=bool)
+                    slots = mask.reshape(n, c, out_h, 2, out_w, 2)
+                    q0, q1 = slots[:, :, :, 0, :, 0], slots[:, :, :, 0, :, 1]
+                    q2, q3 = slots[:, :, :, 1, :, 0], slots[:, :, :, 1, :, 1]
+                    np.greater(s1, s0, out=q1)
+                    np.greater(s3, s2, out=q3)
+                    np.logical_or(q1, high, out=q0)
+                    np.logical_not(q0, out=q0)    # not s1 > s0, not high
+                    np.greater(q1, high, out=q1)  # s1 > s0, not high
+                    np.greater(high, q3, out=q2)  # high, not s3 > s2
+                    np.logical_and(q3, high, out=q3)
+                    ctx.save_for_backward(
+                        mask, x.shape, kernel_size, stride, padding, None
+                    )
+                return out
+            windows = view.transpose(0, 1, 2, 4, 3, 5)
+            tiles = workspace.acquire((n, c, out_h, out_w, k2), x.dtype)
+            tiles.reshape(
+                n, c, out_h, out_w, kernel_size, kernel_size
+            )[...] = windows
+            argmax = tiles.argmax(axis=4)
+            out = np.take_along_axis(tiles, argmax[..., None], axis=4)[..., 0]
+            workspace.release(tiles)
+            if grad:
+                ctx.save_for_backward(
+                    argmax, x.shape, kernel_size, stride, padding, None
+                )
             return out
         # Padding cells are -inf, not 0: with zero padding the argmax would
         # prefer a padding cell over genuinely negative activations, both
@@ -329,47 +348,44 @@ class MaxPool2d(Function):
         argmax = cols.argmax(axis=2)
         out = np.take_along_axis(cols, argmax[..., None], axis=2)[..., 0]
         out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        ctx.save_for_backward(
-            argmax, x.shape, kernel_size, stride, padding, cols.shape
-        )
+        if grad:
+            ctx.save_for_backward(
+                argmax, x.shape, kernel_size, stride, padding, cols.shape
+            )
         workspace.release(flat)
         return out
 
     @staticmethod
     def backward(ctx, grad_output):
-        argmax, x_shape, kernel_size, stride, padding, cols_shape = ctx.saved
+        route, x_shape, kernel_size, stride, padding, cols_shape = ctx.saved
         n, c, h, w = x_shape
         workspace = get_workspace()
         if cols_shape is None:
-            # NCHW tiling route (see forward): scatter into per-window
-            # slots, then one strided assignment back to image layout.
             out_h, out_w = h // kernel_size, w // kernel_size
-            k2 = kernel_size * kernel_size
-            if kernel_size == 2:
-                # 2x2 windows: route each gradient straight into its slot's
-                # strided view with a masked copy — same index routing as
-                # the put_along_axis scatter below, minus the slot buffer
-                # and the transpose copy back to image layout.
-                grad_x = np.zeros((n, c, h, w), dtype=grad_output.dtype)
-                view = grad_x.reshape(n, c, out_h, 2, out_w, 2)
-                mask = np.empty(argmax.shape, dtype=bool)
-                for slot, dst in enumerate((
-                    view[:, :, :, 0, :, 0], view[:, :, :, 0, :, 1],
-                    view[:, :, :, 1, :, 0], view[:, :, :, 1, :, 1],
-                )):
-                    np.equal(argmax, slot, out=mask)
-                    np.copyto(dst, grad_output, where=mask)
+            grad_x = np.empty((n, c, h, w), dtype=grad_output.dtype)
+            view = grad_x.reshape(
+                n, c, out_h, kernel_size, out_w, kernel_size
+            )
+            if route.dtype == np.bool_:
+                # 2x2 mask route (see forward): one broadcast multiply
+                # writes every cell, the window's gradient where the mask
+                # is set and zero elsewhere.
+                np.multiply(
+                    route.reshape(view.shape),
+                    grad_output[:, :, :, None, :, None],
+                    out=view,
+                )
                 return (grad_x,)
+            # NCHW tiling route: scatter into per-window slots, then one
+            # strided assignment back to image layout.
+            k2 = kernel_size * kernel_size
             slots = workspace.acquire((n, c, out_h, out_w, k2),
                                       grad_output.dtype)
             slots.fill(0.0)
             np.put_along_axis(
-                slots, argmax[..., None], grad_output[..., None], axis=4
+                slots, route[..., None], grad_output[..., None], axis=4
             )
-            grad_x = np.empty((n, c, h, w), dtype=grad_output.dtype)
-            grad_x.reshape(
-                n, c, out_h, kernel_size, out_w, kernel_size
-            )[...] = slots.reshape(
+            view[...] = slots.reshape(
                 n, c, out_h, out_w, kernel_size, kernel_size
             ).transpose(0, 1, 2, 4, 3, 5)
             workspace.release(slots)
@@ -377,7 +393,7 @@ class MaxPool2d(Function):
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
         grad_cols = workspace.acquire(cols_shape, grad_output.dtype)
         grad_cols.fill(0.0)
-        np.put_along_axis(grad_cols, argmax[..., None], grad_flat[..., None], axis=2)
+        np.put_along_axis(grad_cols, route[..., None], grad_flat[..., None], axis=2)
         grad_x = col2im(
             grad_cols.reshape(grad_cols.shape[0], -1),
             x_shape, kernel_size, kernel_size, stride, padding,

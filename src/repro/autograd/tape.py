@@ -378,13 +378,11 @@ class _TapeProgram:
                     np.greater(x, 0, out=mask)
                 else:
                     mask = x > 0
-                # x * mask, matching the eager kernel (keeps -0.0 -> +0.0).
-                # A boolean mask never changes the result dtype, so the
-                # in-place decision is a plain attribute compare.
+                # max(x, 0), matching the eager kernel bit for bit.
                 if x.shape == buf.shape and x.dtype == buf.dtype:
-                    cur = np.multiply(x, mask, out=buf)
+                    cur = np.maximum(x, 0, out=buf)
                 else:
-                    cur = np.multiply(x, mask)
+                    cur = np.maximum(x, 0)
             elif kind == "neg":
                 x = cur if m.carrier_pos == 0 else self._resolve(m.srcs[0], inputs)
                 cur = _into_unary(np.negative, x, buf)
@@ -985,7 +983,10 @@ class CompiledStep:
         Which gradients the tape must preserve: ``"all"`` (default,
         bit-identical to eager including parameter ``.grad`` side
         effects) or an iterable of ``{"params", "inputs"}`` — anything
-        else is dead-code-eliminated from the replayed backward.
+        else is dead-code-eliminated from the replayed backward.  Without
+        ``"params"`` the eager trace and fallback calls backpropagate
+        with ``inputs=`` the grad inputs too, so no call of the step
+        touches a parameter's ``.grad``.
     max_variants:
         LRU capacity of compiled variants keyed by input signature.
     guard:
@@ -1089,7 +1090,14 @@ class CompiledStep:
                 f"{self.name}: the step's first output must be a tensor "
                 "requiring grad (the loss to backpropagate)"
             )
-        root.backward()
+        if self._consume == "all" or "params" in self._consume:
+            root.backward()
+        else:
+            # Eager runs (the trace, fallbacks) match replay: no
+            # parameter gradients are formed or accumulated.
+            root.backward(
+                inputs=[bound.args[index] for index in self._grad_inputs]
+            )
         return outputs
 
     def _eager_result(self, bound: _Bound, outputs=None) -> StepResult:

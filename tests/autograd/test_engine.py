@@ -134,6 +134,94 @@ class TestBackward:
         assert np.allclose(x.grad, [2.0])
 
 
+class TestBackwardInputs:
+    """``backward(inputs=...)``: only the listed leaves get ``.grad``."""
+
+    def _cnn_loss(self, x):
+        from repro.models import mnist_cnn
+        from repro.nn import cross_entropy
+
+        model = mnist_cnn(seed=0)
+        return model, cross_entropy(model(x), np.array([1, 7, 3]))
+
+    def _batch(self):
+        return np.random.default_rng(0).uniform(0, 1, size=(3, 1, 28, 28))
+
+    def test_only_listed_leaves_get_grad(self):
+        x = Tensor(self._batch(), requires_grad=True)
+        model, loss = self._cnn_loss(x)
+        loss.backward(inputs=(x,))
+        assert x.grad is not None
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_listed_parameter_without_input(self):
+        x = Tensor(self._batch(), requires_grad=True)
+        model, loss = self._cnn_loss(x)
+        head = model.head.weight
+        loss.backward(inputs=[head])
+        assert x.grad is None
+        assert head.grad is not None
+        others = [p for p in model.parameters() if p is not head]
+        assert all(p.grad is None for p in others)
+
+    def test_input_grad_bitwise_equal_to_full_backward(self):
+        data = self._batch()
+        x_full = Tensor(data, requires_grad=True)
+        self._cnn_loss(x_full)[1].backward()
+        x_only = Tensor(data, requires_grad=True)
+        self._cnn_loss(x_only)[1].backward(inputs=(x_only,))
+        assert np.array_equal(x_only.grad, x_full.grad)
+
+    def test_graph_keeps_its_masks(self):
+        # The narrowing is per call: a later full backward of a graph that
+        # keeps no consumed state still reaches every leaf.
+        x = Tensor([2.0], requires_grad=True)
+        w = Tensor([3.0], requires_grad=True)
+        out = (x * w).sum()
+        out.backward(inputs=[x])
+        assert w.grad is None
+        assert np.allclose(x.grad, [3.0])
+        out.backward()
+        assert np.allclose(x.grad, [6.0])
+        assert np.allclose(w.grad, [2.0])
+
+    def test_gradients_an_op_returns_anyway_are_dropped(self):
+        # An op whose backward ignores ctx.needs() still must not reach
+        # leaves outside ``inputs``.
+        from repro.autograd import Function
+
+        class Product(Function):
+            @staticmethod
+            def forward(ctx, a, b):
+                ctx.save_for_backward(a, b)
+                return a * b
+
+            @staticmethod
+            def backward(ctx, grad_output):
+                a, b = ctx.saved
+                return grad_output * b, grad_output * a
+
+        x = Tensor([2.0], requires_grad=True)
+        w = Tensor([3.0], requires_grad=True)
+        Product.apply(x, w).sum().backward(inputs=[x])
+        assert np.allclose(x.grad, [3.0])
+        assert w.grad is None
+
+    def test_unreachable_input_stays_none(self):
+        x = Tensor([1.0], requires_grad=True)
+        other = Tensor([1.0], requires_grad=True)
+        (x * 2.0).sum().backward(inputs=[other])
+        assert x.grad is None and other.grad is None
+
+    def test_rejects_non_leaf_and_constant_inputs(self):
+        x = Tensor([1.0], requires_grad=True)
+        y = x * 2.0
+        with pytest.raises(ValueError, match="leaf"):
+            y.sum().backward(inputs=[y])
+        with pytest.raises(ValueError, match="requiring grad"):
+            y.sum().backward(inputs=[Tensor([1.0])])
+
+
 class TestGradMode:
     def test_no_grad_blocks_graph(self):
         x = Tensor([1.0], requires_grad=True)

@@ -12,12 +12,15 @@ from repro.autograd import (
     leaky_relu,
     log_softmax,
     max_pool2d,
+    no_grad,
     relu,
     sigmoid,
     softmax,
     tanh,
 )
 from repro.autograd._im2col import col2im, conv_output_size, im2col
+from repro.autograd.ops_nn import MaxPool2d, ReLU
+from repro.runtime import hotpaths
 
 
 def randn(*shape, seed=0, scale=1.0):
@@ -200,6 +203,70 @@ class TestPooling:
             lambda a: max_pool2d(a, kernel_size=2, padding=1),
             [randn(2, 2, 4, 4)],
         )
+
+
+def _tied_activations(seed):
+    """Small-integer activations full of ties: an all-zero window and an
+    all-equal window per channel, repeated maxima elsewhere, and negative
+    values for the ReLU to clip."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(3, 4, 6, 8)).astype(np.float64)
+    x[:, :, :2, :2] = 0.0        # one all-zero window per channel
+    x[:, :, 2:4, 2:4] = 1.0      # one window whose four cells tie
+    return x
+
+
+class TestKernelParity:
+    """The fast ReLU/2x2-pool kernels equal the reference routes bitwise."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relu_matches_reference(self, seed):
+        a = _tied_activations(seed)
+        grad = np.random.default_rng(seed + 10).normal(size=a.shape)
+        x = Tensor(a, requires_grad=True)
+        out = relu(x)
+        out.backward(grad)
+        mask = a > 0
+        assert np.array_equal(out.data, a * mask)
+        assert np.array_equal(x.grad, grad * mask)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("post_relu", [False, True])
+    def test_max_pool_2x2_matches_hotpaths_off(self, seed, post_relu):
+        a = _tied_activations(seed)
+        if post_relu:
+            a = np.maximum(a, 0.0)
+        grad = np.random.default_rng(seed + 10).normal(size=(3, 4, 3, 4))
+        results = []
+        for enabled in (True, False):
+            with hotpaths(enabled):
+                x = Tensor(a, requires_grad=True)
+                out = max_pool2d(x, 2)
+                out.backward(grad)
+            results.append((out.data, x.grad))
+        (fast_out, fast_grad), (ref_out, ref_grad) = results
+        assert np.array_equal(fast_out, ref_out)
+        assert np.array_equal(fast_grad, ref_grad)
+        # Exactly one routed cell per window, even where all four tie.
+        routed = (fast_grad != 0).reshape(3, 4, 3, 2, 4, 2).sum(axis=(3, 5))
+        assert routed.max() <= 1
+
+    def test_conv2d_output_is_c_contiguous(self):
+        out = conv2d(randn(2, 3, 8, 8), randn(4, 3, 3, 3, seed=1), padding=1)
+        assert out.data.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize(
+        "op,kwargs", [(ReLU, {}), (MaxPool2d, {"kernel_size": 2})]
+    )
+    def test_no_grad_saves_nothing(self, op, kwargs):
+        a = _tied_activations(0)
+        ctx = op()
+        with no_grad():
+            op.forward(ctx, a, **kwargs)
+        assert ctx.saved == ()
+        ctx = op()
+        op.forward(ctx, a, **kwargs)
+        assert ctx.saved != ()
 
 
 class TestDropoutMask:

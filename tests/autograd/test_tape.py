@@ -73,8 +73,8 @@ def test_consume_inputs_skips_param_grads():
     step = CompiledStep(
         _model_step(model), grad_inputs=(0,), consume=("inputs",)
     )
-    step(_X.copy(), _Y.copy())  # trace runs eagerly: params do get grads
-    model.zero_grad()
+    step(_X.copy(), _Y.copy())  # trace: eager backward(inputs=x)
+    assert all(p.grad is None for p in model.parameters())
     result = step(_X.copy(), _Y.copy())
     assert step.stats["hits"] == 1
     assert np.array_equal(result.input_grads[0], ref_xgrad)
