@@ -42,10 +42,17 @@ def bench_config(dataset: str):
     )
 
 
+def _results_dir() -> str:
+    """``REPRO_BENCH_RESULTS`` when set, else ``benchmarks/results/``."""
+    return os.environ.get("REPRO_BENCH_RESULTS", "").strip() or RESULTS_DIR
+
+
 def save_artifact(name: str, text: str) -> str:
-    """Write a rendered artefact under benchmarks/results/ and return path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
+    """Write a rendered artefact under the results directory (see
+    :func:`_results_dir`) and return its path."""
+    directory = _results_dir()
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
     with open(path, "w") as handle:
         handle.write(text + "\n")
     return path
@@ -66,8 +73,7 @@ def save_bench(name: str, metrics: dict, context: dict = None) -> str:
     record = BenchRecord(name, context=context)
     for metric, (value, unit, direction) in metrics.items():
         record.add(metric, value, unit=unit, direction=direction)
-    directory = os.environ.get("REPRO_BENCH_RESULTS", "").strip()
-    return record.save(directory or RESULTS_DIR)
+    return record.save(_results_dir())
 
 
 @pytest.fixture(scope="session")

@@ -105,9 +105,8 @@ class Attack:
         The model is evaluated in its current training mode; callers should
         normally put the model in eval mode first (attacks against dropout
         noise are not what the paper studies).  Computed by the attack
-        engine's :class:`~repro.attacks.loop.BackpropGradient`, so the
-        eval-mode rule (no parameter gradients) and the compiled toggle
-        apply here too.
+        engine's :class:`~repro.attacks.loop.BackpropGradient`, so its
+        eval-mode rule (no parameter gradients) applies here too.
         """
         from .loop import LoopState
 

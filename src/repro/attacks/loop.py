@@ -56,7 +56,6 @@ from .. import telemetry as tel
 from ..autograd import Tensor, no_grad
 from ..nn import cross_entropy
 from ..runtime import ensure_float_array
-from ..runtime.compiled import compiled_enabled
 from ..runtime.workspace import get_workspace
 from .base import project
 
@@ -207,63 +206,24 @@ class BackpropGradient(GradientEstimator):
     for a model without a ``training`` attribute, the backward also
     accumulates parameter gradients, as a plain ``loss.backward()`` does;
     the trainers' updates include them (see docs/attacks.md).
-
-    When the runtime ``compiled`` toggle is on, the forward/backward pair
-    runs through a :class:`~repro.autograd.tape.CompiledStep` keyed on the
-    iterate's shape/dtype, so repeated attack iterations replay a traced
-    tape instead of rebuilding the graph (bit-for-bit identical grads).
     """
 
     def __init__(self, model, loss_fn: Callable = cross_entropy) -> None:
         self.model = model
         self.loss_fn = loss_fn
-        self._compiled = {}
-
-    def _compiled_step(self, input_only: Optional[bool] = None):
-        """The tape for eval-mode (input-only) or train-mode backwards;
-        by default the one the model's current mode uses."""
-        if input_only is None:
-            input_only = _input_only(self.model)
-        step = self._compiled.get(input_only)
-        if step is None:
-            from ..autograd.tape import CompiledStep
-
-            model, loss_fn = self.model, self.loss_fn
-
-            def objective(x, y):
-                logits = model(x)
-                return loss_fn(logits, y), logits
-
-            # consume="all" keeps the parameter-gradient accumulation the
-            # eager train-mode backward performs as a side effect; trainers
-            # that run attacks mid-batch rely on it bit-for-bit.
-            step = self._compiled[input_only] = CompiledStep(
-                objective,
-                grad_inputs=(0,),
-                consume=("inputs",) if input_only else "all",
-                name="attack.backprop",
-            )
-        return step
 
     def __call__(self, x, y, state: LoopState) -> np.ndarray:
-        input_only = _input_only(self.model)
-        if compiled_enabled():
-            result = self._compiled_step(input_only)(ensure_float_array(x), y)
-            grad = result.input_grads[0]
-            logits = np.asarray(result.outputs[1])
-        else:
-            x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
-            logits = self.model(x_tensor)
-            self.loss_fn(logits, y).backward(
-                inputs=(x_tensor,) if input_only else None
-            )
-            grad = x_tensor.grad
-            logits = logits.data
+        x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
+        logits = self.model(x_tensor)
+        self.loss_fn(logits, y).backward(
+            inputs=(x_tensor,) if _input_only(self.model) else None
+        )
+        grad = x_tensor.grad
         if grad is None:
             raise RuntimeError(
                 "input received no gradient; is the model differentiable?"
             )
-        state.logits = logits
+        state.logits = logits.data
         return grad
 
 

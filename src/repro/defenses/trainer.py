@@ -23,10 +23,8 @@ from ..autograd import Tensor
 from ..data.loader import Batch, DataLoader
 from ..nn import Module, cross_entropy
 from ..optim import LRScheduler, Optimizer
-from ..runtime.compiled import compiled_enabled
 from ..runtime.workspace import get_workspace
-from ..telemetry import ConsoleEvents
-from ..utils.timing import EpochTimer
+from ..telemetry import ConsoleEvents, Stopwatch
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -92,7 +90,6 @@ class Trainer:
         self.loss_fn = loss_fn
         self.scheduler = scheduler
         self.epoch = 0
-        self.timer = EpochTimer()
 
     # ------------------------------------------------------------------
     # extension points
@@ -101,19 +98,6 @@ class Trainer:
         """Loss for one batch.  Subclasses add adversarial terms here."""
         logits = self.model(Tensor(batch.x))
         return self.loss_fn(logits, batch.y)
-
-    def _compiled_batch(self, batch: Batch) -> Optional[float]:
-        """Run one batch through the compiled tape; ``None`` keeps eager.
-
-        Only the loss expression this class defines is compiled: a
-        subclass that overrides :meth:`compute_batch_loss` with its own
-        objective falls back to eager automatically.
-        """
-        if type(self).compute_batch_loss is not Trainer.compute_batch_loss:
-            return None
-        from ._compiled import clean_batch_loss
-
-        return clean_batch_loss(self, batch)
 
     def on_epoch_start(self, epoch: int) -> None:
         """Hook invoked before each epoch's first batch."""
@@ -143,21 +127,13 @@ class Trainer:
             if batch is None:
                 break
             self.optimizer.zero_grad()
-            # The compiled tape fuses forward+backward into one traced
-            # replay; when it declines (toggle off, unsupported objective)
-            # the eager spans below run unchanged.
-            loss_value = (
-                self._compiled_batch(batch) if compiled_enabled() else None
-            )
-            if loss_value is None:
-                with tel.span("forward"):
-                    loss = self.compute_batch_loss(batch)
-                with tel.span("backward"):
-                    loss.backward()
-                loss_value = loss.item()
+            with tel.span("forward"):
+                loss = self.compute_batch_loss(batch)
+            with tel.span("backward"):
+                loss.backward()
             with tel.span("optimizer"):
                 self.optimizer.step()
-            losses.append(loss_value)
+            losses.append(loss.item())
         self.on_epoch_end(self.epoch)
         self.epoch += 1
         if self.scheduler is not None:
@@ -227,14 +203,14 @@ class Trainer:
         trainer_name = getattr(self, "name_with_steps", self.name)
         for local_epoch in range(epochs):
             epoch_index = self.epoch
-            # The epoch span wraps exactly the EpochTimer region, so the
+            # The stopwatch times exactly what the epoch span wraps, so the
             # telemetry run record reproduces Table I's time-per-epoch.
             with tel.span(
                 "epoch", emit=True, trainer=trainer_name, epoch=epoch_index
             ) as epoch_span:
-                self.timer.begin_epoch()
-                mean_loss = self.train_epoch(loader)
-                elapsed = self.timer.end_epoch()
+                with Stopwatch() as watch:
+                    mean_loss = self.train_epoch(loader)
+                elapsed = watch.elapsed
                 epoch_span.note(loss=mean_loss)
             if tel.enabled():
                 for name, value in get_workspace().telemetry_gauges().items():

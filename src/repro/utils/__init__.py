@@ -9,7 +9,7 @@ from .serialization import (
     save_state_dict,
     to_jsonable,
 )
-from .timing import EpochTimer, Timer
+from .timing import Timer
 from .validation import (
     check_image_batch,
     check_in_unit_interval,
@@ -25,7 +25,6 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "Timer",
-    "EpochTimer",
     "save_state_dict",
     "load_state_dict",
     "save_json",

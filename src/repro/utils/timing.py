@@ -1,22 +1,19 @@
 """Wall-clock instrumentation used by the training-time experiments.
 
-The paper's efficiency metric is *training time per epoch* (Table I).  The
-:class:`EpochTimer` here records per-epoch durations so trainers can report
-exactly that statistic.
+The paper's efficiency metric is *training time per epoch* (Table I);
+:meth:`repro.defenses.Trainer.fit` records it in
+``TrainingHistory.epoch_seconds``.
 
-Both timers are thin layers over :class:`repro.telemetry.Stopwatch` — the
+:class:`Timer` is a thin layer over :class:`repro.telemetry.Stopwatch` — the
 same ``perf_counter`` primitive telemetry spans are built on — so stopwatch
 readings and the span records emitted by instrumented trainers agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
 from ..telemetry import Stopwatch
 
-__all__ = ["Timer", "EpochTimer"]
+__all__ = ["Timer"]
 
 
 class Timer(Stopwatch):
@@ -42,41 +39,3 @@ class Timer(Stopwatch):
     """
 
     __slots__ = ()
-
-
-@dataclass
-class EpochTimer:
-    """Accumulates per-epoch wall-clock durations.
-
-    Attributes
-    ----------
-    durations:
-        One entry per completed epoch, in seconds.
-    """
-
-    durations: List[float] = field(default_factory=list)
-    _watch: Stopwatch = field(default_factory=Stopwatch, repr=False)
-
-    def begin_epoch(self) -> None:
-        """Mark the start of an epoch."""
-        self._watch.start()
-
-    def end_epoch(self) -> float:
-        """Record and return the just-finished epoch's duration."""
-        if not self._watch.running:
-            raise RuntimeError("end_epoch() called before begin_epoch()")
-        elapsed = self._watch.stop()
-        self.durations.append(elapsed)
-        return elapsed
-
-    @property
-    def total(self) -> float:
-        """Total training time across recorded epochs."""
-        return float(sum(self.durations))
-
-    @property
-    def mean_per_epoch(self) -> float:
-        """Average training time per epoch — the Table I metric."""
-        if not self.durations:
-            return 0.0
-        return self.total / len(self.durations)

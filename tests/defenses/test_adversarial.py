@@ -81,11 +81,8 @@ class TestIterAdv:
         """Iter-Adv's per-epoch cost must exceed Single-Adv's — the paper's
         efficiency argument in Table I.  Counted as backward passes per
         batch (Iter-Adv(10) = 10 attack steps + 1 update, FGSM-Adv = 1 + 1)
-        rather than timed, so CPU contention cannot flake it.  The compiled
-        tape replays the same passes without calling ``Tensor.backward``,
-        so the count runs eagerly."""
+        rather than timed, so CPU contention cannot flake it."""
         from repro.autograd import Tensor
-        from repro.runtime import compiled
 
         train, _ = digits_small
         loader = DataLoader(train, batch_size=64, rng=0)
@@ -100,8 +97,7 @@ class TestIterAdv:
 
         def passes_per_batch(trainer):
             calls["n"] = 0
-            with compiled(False):
-                trainer.fit(loader, epochs=1)
+            trainer.fit(loader, epochs=1)
             return calls["n"] / len(loader)
 
         assert passes_per_batch(make(FgsmAdvTrainer, digits_small)) == 2

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.defenses import (
+    PAPER_DEFENSES,
     AtdaTrainer,
-    DEFENSE_NAMES,
     EpochwiseAdvTrainer,
     FgsmAdvTrainer,
     IterAdvTrainer,
@@ -38,7 +38,7 @@ class TestBuildTrainer:
         assert t30.num_steps == 30
 
     def test_all_names_listed(self):
-        for name in DEFENSE_NAMES:
+        for name in PAPER_DEFENSES:
             build_trainer(name, mnist_mlp(seed=0), epsilon=0.2)
 
     def test_unknown_name(self):
@@ -82,7 +82,7 @@ class TestIterAdvPattern:
             build_trainer("cw9_adv", mnist_mlp(seed=0), epsilon=0.2)
 
 
-class TestCanonicalNamesAndShim:
+class TestCanonicalNames:
     def test_defense_names(self):
         from repro.defenses import defense_names
         from repro.defenses.registry import (
@@ -98,23 +98,6 @@ class TestCanonicalNamesAndShim:
 
         for name in defense_names():
             build_trainer(name, mnist_mlp(seed=0), epsilon=0.2)
-
-    def test_deprecated_constants_warn_but_resolve(self):
-        import importlib
-
-        import repro.defenses as defenses
-        from repro.defenses.registry import (
-            EXTENSION_DEFENSES,
-            PAPER_DEFENSES,
-        )
-
-        with pytest.warns(DeprecationWarning, match="DEFENSE_NAMES"):
-            assert defenses.DEFENSE_NAMES == PAPER_DEFENSES
-        with pytest.warns(DeprecationWarning, match="EXTENSION_NAMES"):
-            assert defenses.EXTENSION_NAMES == EXTENSION_DEFENSES
-        registry = importlib.import_module("repro.defenses.registry")
-        with pytest.warns(DeprecationWarning):
-            assert registry.DEFENSE_NAMES == PAPER_DEFENSES
 
     def test_old_row_names_still_resolve(self):
         """The pre-registry names keep building the same trainer types."""

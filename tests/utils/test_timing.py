@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.telemetry import Stopwatch
-from repro.utils import EpochTimer, Timer
+from repro.utils import Timer
 
 
 class TestTimer:
@@ -90,25 +90,3 @@ class TestTimer:
         assert not by_exit.running
         assert not by_stop.running
 
-
-class TestEpochTimer:
-    def test_records_durations(self):
-        timer = EpochTimer()
-        for _ in range(3):
-            timer.begin_epoch()
-            time.sleep(0.003)
-            timer.end_epoch()
-        assert len(timer.durations) == 3
-        assert all(d >= 0.003 for d in timer.durations)
-
-    def test_mean_and_total(self):
-        timer = EpochTimer(durations=[1.0, 2.0, 3.0])
-        assert timer.total == 6.0
-        assert timer.mean_per_epoch == 2.0
-
-    def test_empty_mean_is_zero(self):
-        assert EpochTimer().mean_per_epoch == 0.0
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            EpochTimer().end_epoch()
